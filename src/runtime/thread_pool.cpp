@@ -1,8 +1,10 @@
 #include "runtime/thread_pool.hpp"
 
 #include <cstdlib>
+#include <exception>
 
 #include "runtime/analyze.hpp"
+#include "util/check.hpp"
 
 namespace stgraph {
 
@@ -57,6 +59,16 @@ void ThreadPool::run_on_lanes_raw(RawJob fn, void* ctx) {
     fn(ctx, 0);
     return;
   }
+  if (launching_.exchange(true, std::memory_order_acq_rel)) {
+    throw StgError(
+        "ThreadPool: launch from a second thread while another launch is in "
+        "flight; the pool takes one launcher at a time — run concurrent "
+        "pool-using code under ThreadPool::ScopedInline");
+  }
+  struct InFlight {
+    std::atomic<bool>& flag;
+    ~InFlight() { flag.store(false, std::memory_order_release); }
+  } in_flight{launching_};
   {
     MutexLock lock(mu_);
     job_fn_ = fn;
@@ -66,14 +78,26 @@ void ThreadPool::run_on_lanes_raw(RawJob fn, void* ctx) {
   }
   cv_start_.notify_all();
 
+  std::exception_ptr lane0_error;
   in_pool_job_ = true;
-  fn(ctx, 0);  // lane 0 = calling thread
+  try {
+    fn(ctx, 0);  // lane 0 = calling thread
+  } catch (...) {
+    lane0_error = std::current_exception();
+  }
   in_pool_job_ = false;
 
-  MutexLock lock(mu_);
-  while (pending_ != 0) cv_done_.wait(lock);
-  job_fn_ = nullptr;
-  job_ctx_ = nullptr;
+  {
+    MutexLock lock(mu_);
+    STG_BLOCKING_OK(
+        "ThreadPool join: the pool takes one launcher at a time (a second "
+        "launcher is refused), so this wait covers only the caller's own "
+        "job on the workers and ends when that job does");
+    while (pending_ != 0) cv_done_.wait(lock);
+    job_fn_ = nullptr;
+    job_ctx_ = nullptr;
+  }
+  if (lane0_error) std::rethrow_exception(lane0_error);
 }
 
 void ThreadPool::worker_loop(unsigned lane) {

@@ -7,6 +7,7 @@
 // inline execution (zero workers) so tests remain fast on tiny machines.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <thread>
@@ -44,9 +45,12 @@ class ThreadPool {
   /// every parallel_for* it issues runs serially inline (1 effective lane)
   /// and never touches the pool's launch protocol. run_on_lanes_raw is a
   /// single-launcher protocol (generation_/pending_ handshake): two threads
-  /// launching concurrently corrupt the rendezvous. Auxiliary threads that
-  /// must run pool-using code concurrently with the main thread (the GPMA
-  /// pipeline prefetch worker) wrap their work in a ScopedInline instead.
+  /// launching concurrently would corrupt the rendezvous, so a launch from
+  /// a second thread while one is in flight is refused with a StgError.
+  /// Auxiliary threads that must run pool-using code concurrently with the
+  /// main thread (the GPMA pipeline prefetch worker, the serve readers'
+  /// row gathers outside the execution lock) wrap their work in a
+  /// ScopedInline instead.
   class ScopedInline {
    public:
     ScopedInline() : prev_(in_pool_job_) { in_pool_job_ = true; }
@@ -61,6 +65,20 @@ class ThreadPool {
   /// Run fn(lane) on every lane (0..lanes-1) and wait for completion.
   /// The calling thread executes lane 0. Reentrant calls (fn itself calling
   /// run_on_lanes) execute inline on the calling lane to avoid deadlock.
+  ///
+  /// One launcher at a time: a launch issued from a thread that is not a
+  /// pool lane while another thread's launch is in flight throws StgError
+  /// (the pool is left untouched and keeps serving the launch in flight).
+  /// Because of that rule the completion wait — the launcher parked on
+  /// cv_done_ until the workers finish — only ever waits for the caller's
+  /// own job and ends when that job does, also when the caller holds
+  /// locks (serve forwards hold exec_mu_). The wait is therefore exempt
+  /// from the blocking-hazard analyzer (STG_BLOCKING_OK). An armed run
+  /// only sees the wait at all when the pool has more than one lane; with
+  /// one lane every launch runs inline.
+  ///
+  /// If lane 0 throws, the launch still waits for the workers before the
+  /// exception propagates, so the job context never dangles.
   void run_on_lanes(const std::function<void(unsigned)>& fn);
 
   /// Type-erased launch used by the non-allocating templated parallel
@@ -82,6 +100,9 @@ class ThreadPool {
   uint64_t generation_ STG_GUARDED_BY(mu_) = 0;
   unsigned pending_ STG_GUARDED_BY(mu_) = 0;
   bool stop_ STG_GUARDED_BY(mu_) = false;
+  /// Set while a launch is in flight (from job publication to the end of
+  /// the completion wait); enforces the one-launcher rule.
+  std::atomic<bool> launching_{false};
   static thread_local bool in_pool_job_;
 };
 

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "runtime/analyze.hpp"
+#include "runtime/thread_pool.hpp"
 #include "tensor/ops.hpp"
 #include "util/failpoint.hpp"
 #include "util/logging.hpp"
@@ -424,6 +425,9 @@ void Server::serve_stale(PredictRequest& req) {
   res.timestamp = last_good_time_;
   res.version = last_good_version_;
   res.stale = true;
+  // Client thread, outside exec_mu_: an ingest may be launching on the
+  // pool right now, and the pool takes one launcher at a time.
+  ThreadPool::ScopedInline inline_gather;
   res.outputs = req.nodes.empty() ? last_good_out_
                                   : ops::gather_rows(last_good_out_, req.nodes);
   res.queue_micros = 0.0;
@@ -787,6 +791,10 @@ void Server::process_batch(std::size_t reader_idx,
 
     const auto fulfilled = clock::now();
     const auto num_nodes = static_cast<uint32_t>(step->out.rows());
+    // The row gathers below run outside exec_mu_, beside ingests and other
+    // readers' forwards that launch on the pool; the pool takes one
+    // launcher at a time, so they run inline on this reader.
+    ThreadPool::ScopedInline inline_gathers;
     for (; done < live.size(); ++done) {
       PredictRequest& req = live[done];
       // Deadline enforcement at completion: the pass ran, but a client

@@ -55,6 +55,13 @@
 // What clients observe without that lock: the published ReadView, the
 // ModelSnapshot handle, the last-good stale step, and the published
 // current-version step (pub_mu_, a pointer copy) — all swap atomically.
+// Kernel launches follow the pool's one-launcher rule (runtime/
+// thread_pool.hpp, enforced: a second concurrent launcher gets a
+// StgError): forwards launch on the pool only under exec_mu_, and the row
+// gathers that run outside it (reader completion, stale serving) run
+// inline under ThreadPool::ScopedInline. The forward's pool join under
+// exec_mu_ is exempt from the blocking-hazard analyzer because that rule
+// makes it wait only for the forward's own job.
 // Failpoints: serve.checkpoint.load (in ModelSnapshot::load),
 // serve.delta.apply, serve.batch.dispatch, serve.batch.delay (injected
 // latency), serve.step.poison (NaN output), serve.wal.append.

@@ -19,6 +19,7 @@
 
 #include "runtime/analyze.hpp"
 #include "runtime/mutex.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace stgraph {
 namespace {
@@ -216,14 +217,24 @@ TEST(Analyze, CvWaitHoldingSecondLockIsAHazard) {
   Mutex inner{"Analyze.CvHazard.inner"};
   ConditionVariable cv;
   std::atomic<bool> go{false};
+  Steps seq;
 
+  // Condition-variable handshake: the waiter holds `inner` from before it
+  // signals step 1 until wait_for releases it, and the waker sets `go`
+  // only under `inner`. So the waiter's first predicate check always sees
+  // false and at least one wait_for — the call under test — runs.
   std::thread waiter([&] {
     MutexLock lo(outer);  // the extra lock a cv-wait must not sit on
     MutexLock li(inner);
+    seq.advance(1);
     while (!go.load()) cv.wait_for(li, std::chrono::milliseconds(5));
   });
   std::thread waker([&] {
-    go.store(true);
+    seq.reach(1);
+    {
+      MutexLock li(inner);
+      go.store(true);
+    }
     cv.notify_all();
   });
   waiter.join();
@@ -261,6 +272,40 @@ TEST(Analyze, CvWaitHoldingOnlyTheWaitedLockIsClean) {
   cv.notify_all();
   waiter.join();
   EXPECT_EQ(analyze::hazard_count(), 0u);
+}
+
+TEST(Analyze, PoolJoinUnderALockIsExemptButOtherCvWaitsStillReport) {
+  ScopedArm arm;
+  // An explicit multi-lane pool, so the launcher really parks in the join
+  // even where the process-wide pool runs inline.
+  ThreadPool pool(3);
+  Mutex held{"Analyze.PoolJoin.held"};
+  std::atomic<int> lanes_run{0};
+  {
+    MutexLock lk(held);
+    pool.run_on_lanes([&](unsigned lane) {
+      // Slow workers keep the launcher waiting in the join.
+      if (lane != 0) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      lanes_run.fetch_add(1);
+    });
+  }
+  EXPECT_EQ(lanes_run.load(), 4);
+  EXPECT_EQ(analyze::hazard_count(), 0u) << analyze::format_report();
+
+  // The exemption covers the join alone: any other condition wait holding
+  // a second lock still reports.
+  Mutex inner{"Analyze.PoolJoin.inner"};
+  ConditionVariable cv;
+  {
+    MutexLock lo(held);
+    MutexLock li(inner);
+    cv.wait_for(li, std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(analyze::hazard_count(), 1u);
+  const analyze::BlockingHazard h = analyze::hazards()[0];
+  EXPECT_EQ(h.what, "cv-wait-for");
+  ASSERT_EQ(h.held_sites.size(), 1u);
+  EXPECT_EQ(h.held_sites[0], "Analyze.PoolJoin.held");
 }
 
 TEST(Analyze, BlockingCallUnderLockIsAHazard) {

@@ -29,6 +29,8 @@
 #include "tensor/tensor.hpp"
 #include "util/check.hpp"
 
+#include "scratch_dir.hpp"
+
 namespace stgraph {
 namespace {
 
@@ -223,13 +225,9 @@ TEST(FuzzFormats, StgnDecoderReassemblesAtEverySplitPoint) {
 
 // ---- STGW write-ahead log -------------------------------------------------
 
-const char* kFuzzWal = "/tmp/stgraph_fuzz.stgw";
-const char* kFuzzWalMut = "/tmp/stgraph_fuzz_mut.stgw";
-
-std::vector<uint8_t> valid_wal_bytes() {
-  std::remove(kFuzzWal);
+std::vector<uint8_t> valid_wal_bytes(const std::string& path) {
   {
-    serve::wal::Writer w(kFuzzWal, /*truncate=*/true, /*sync_every=*/0);
+    serve::wal::Writer w(path, /*truncate=*/true, /*sync_every=*/0);
     serve::wal::Record start;
     start.type = serve::wal::RecordType::kStart;
     start.time = 0;
@@ -249,11 +247,14 @@ std::vector<uint8_t> valid_wal_bytes() {
     }
     w.sync();
   }
-  return read_file(kFuzzWal);
+  return read_file(path);
 }
 
 TEST(FuzzFormats, StgwReaderSurvivesMutatedLogs) {
-  const std::vector<uint8_t> pristine = valid_wal_bytes();
+  const ScratchDir dir;  // own directory: tests run in parallel under ctest
+  const std::string kFuzzWal = dir.file("fuzz.stgw");
+  const std::string kFuzzWalMut = dir.file("fuzz_mut.stgw");
+  const std::vector<uint8_t> pristine = valid_wal_bytes(kFuzzWal);
   ASSERT_FALSE(pristine.empty());
   {
     // Sanity: the pristine log reads back whole.
@@ -283,16 +284,11 @@ TEST(FuzzFormats, StgwReaderSurvivesMutatedLogs) {
       // Clean rejection (bad magic/version, unreadable) is a valid outcome.
     }
   }
-  std::remove(kFuzzWal);
-  std::remove(kFuzzWalMut);
 }
 
 // ---- STGT training-state container ----------------------------------------
 
-const char* kFuzzTrain = "/tmp/stgraph_fuzz.stgt";
-const char* kFuzzTrainMut = "/tmp/stgraph_fuzz_mut.stgt";
-
-std::vector<uint8_t> valid_train_state_bytes() {
+std::vector<uint8_t> valid_train_state_bytes(const std::string& path) {
   io::TrainState st;
   st.config_hash = 0xDEADBEEFCAFEF00Dull;
   st.epoch = 2;
@@ -308,12 +304,15 @@ std::vector<uint8_t> valid_train_state_bytes() {
   st.hidden = Tensor::full({4, 3}, 0.75f);
   st.epoch_loss_total = 1.5;
   st.epoch_steps = 17;
-  io::save_train_state(st, kFuzzTrain);
-  return read_file(kFuzzTrain);
+  io::save_train_state(st, path);
+  return read_file(path);
 }
 
 TEST(FuzzFormats, StgtLoaderSurvivesMutatedContainers) {
-  const std::vector<uint8_t> pristine = valid_train_state_bytes();
+  const ScratchDir dir;  // own directory: tests run in parallel under ctest
+  const std::string kFuzzTrain = dir.file("fuzz.stgt");
+  const std::string kFuzzTrainMut = dir.file("fuzz_mut.stgt");
+  const std::vector<uint8_t> pristine = valid_train_state_bytes(kFuzzTrain);
   ASSERT_FALSE(pristine.empty());
   {
     // Sanity: the pristine container round-trips.
@@ -339,8 +338,6 @@ TEST(FuzzFormats, StgtLoaderSurvivesMutatedContainers) {
       // CRC/bounds rejection — the designed outcome for a torn container.
     }
   }
-  std::remove(kFuzzTrain);
-  std::remove(kFuzzTrainMut);
 }
 
 }  // namespace

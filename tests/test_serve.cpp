@@ -20,12 +20,16 @@
 #include "util/failpoint.hpp"
 #include "util/rng.hpp"
 
+#include "scratch_dir.hpp"
+
 namespace stgraph {
 namespace {
 
 constexpr int64_t kFeat = 6;
 constexpr int64_t kHidden = 8;
-const char* kCkpt = "/tmp/stgraph_test_serve.stgt";
+// Files live in the running test's own scratch directory (see
+// scratch_dir.hpp): tests run as parallel processes under ctest.
+std::string ckpt_path() { return ScratchDirTest::test_file("serve.stgt"); }
 
 DtdgEvents tiny_events() {
   DtdgEvents ev;
@@ -79,15 +83,15 @@ std::vector<Tensor> train_and_checkpoint(const DtdgEvents& events,
   cfg.task = core::Task::kLinkPrediction;
   core::STGraphTrainer trainer(graph, model, sig, cfg);
   trainer.train();
-  trainer.save_checkpoint(kCkpt);
+  trainer.save_checkpoint(ckpt_path());
   return trainer.evaluate_outputs();
 }
 
-class ServeTest : public ::testing::Test {
+class ServeTest : public ScratchDirTest {
  protected:
   void TearDown() override {
     failpoint::disable_all();
-    std::remove(kCkpt);
+    ScratchDirTest::TearDown();
   }
 };
 
@@ -100,7 +104,7 @@ void run_parity(STGraphBase& graph, const DtdgEvents& events,
   Rng rng(999);  // weights are overwritten by the checkpoint
   nn::TGCNEncoder model(kFeat, kHidden, rng);
   serve::Server server(graph, model);
-  server.load(kCkpt);
+  server.load(ckpt_path());
   server.start(sig.features[0]);
   const auto T = static_cast<uint32_t>(ref.size());
   for (uint32_t t = 0; t < T; ++t) {
@@ -170,7 +174,7 @@ TEST_F(ServeTest, LiveSnapshotInstallSwapsWeightsAndBumpsVersion) {
   Rng rng(17);
   nn::TGCNEncoder model(kFeat, kHidden, rng);
   serve::Server server(graph, model);
-  server.load(kCkpt);
+  server.load(ckpt_path());
   server.start(sig.features[0]);
   const serve::PredictResult before = server.predict();
 

@@ -40,26 +40,30 @@
 #include "util/rng.hpp"
 #include "verify/invariants.hpp"
 
+#include "scratch_dir.hpp"
+
 namespace stgraph {
 namespace {
 
 constexpr int64_t kFeat = 5;
 constexpr int64_t kHidden = 8;
 constexpr uint32_t kNodes = 12;
-const char* kWal = "/tmp/stgraph_test_chaos.stgw";
-const char* kCkpt = "/tmp/stgraph_test_chaos.stgt";
+// Files live in the running test's own scratch directory (see
+// scratch_dir.hpp), made in SetUp — before any fork, so a killed child and
+// its parent share it: tests run as parallel processes under ctest.
+std::string wal_path() { return ScratchDirTest::test_file("chaos.stgw"); }
+std::string ckpt_path() { return ScratchDirTest::test_file("chaos.stgt"); }
 
 uint64_t chaos_seed() {
   const char* env = std::getenv("STGRAPH_CHAOS_SEED");
   return env ? std::strtoull(env, nullptr, 10) : 1;
 }
 
-class ChaosTest : public ::testing::Test {
+class ChaosTest : public ScratchDirTest {
  protected:
   void TearDown() override {
     failpoint::disable_all();
-    std::remove(kWal);
-    std::remove(kCkpt);
+    ScratchDirTest::TearDown();
   }
 };
 
@@ -104,7 +108,7 @@ void checkpoint_model(nn::TGCNEncoder& model) {
     st.moment1.push_back(Tensor::zeros(p.tensor.shape()));
     st.moment2.push_back(Tensor::zeros(p.tensor.shape()));
   }
-  io::save_train_state(st, kCkpt);
+  io::save_train_state(st, ckpt_path());
 }
 
 // ---- phase 1: randomized faults under concurrent load ----------------------
@@ -122,7 +126,7 @@ TEST_F(ChaosTest, RandomFaultScheduleNeverHangsAndAccountsEveryRequest) {
   cfg.circuit_failure_threshold = 3;
   cfg.circuit_cooldown_ms = 20;
   cfg.max_inflight_ingests = 2;
-  cfg.wal_path = kWal;
+  cfg.wal_path = wal_path();
   serve::Server server(graph, model, cfg);
   server.start(features_at(0));
 
@@ -226,9 +230,9 @@ TEST_F(ChaosTest, RandomFaultScheduleNeverHangsAndAccountsEveryRequest) {
 
   // The WAL survived the fault schedule: CRC-clean, monotonic, and exactly
   // one record per committed step (failed appends rolled back).
-  const verify::Report wal_report = verify::check_wal(kWal);
+  const verify::Report wal_report = verify::check_wal(wal_path());
   EXPECT_TRUE(wal_report.ok()) << wal_report.to_string();
-  EXPECT_EQ(serve::wal::read(kWal).records.size(), 1u + kIngestSteps);
+  EXPECT_EQ(serve::wal::read(wal_path()).records.size(), 1u + kIngestSteps);
 }
 
 // ---- phase 1b: randomized socket faults ------------------------------------
@@ -331,7 +335,7 @@ Tensor reference_output(uint64_t seed, uint32_t steps) {
   Rng rng(static_cast<uint64_t>(31));
   nn::TGCNEncoder model(kFeat, kHidden, rng);
   serve::Server server(graph, model);
-  server.load(kCkpt);
+  server.load(ckpt_path());
   server.start(features_at(0));
   const std::vector<EdgeDelta> deltas = chaos_deltas(seed, steps);
   for (uint32_t t = 0; t < steps; ++t)
@@ -362,9 +366,9 @@ TEST_F(ChaosTest, Kill9MidStreamRecoversBitIdenticalFromCheckpointPlusWal) {
     Rng rng(static_cast<uint64_t>(31));
     nn::TGCNEncoder model(kFeat, kHidden, rng);
     serve::ServeConfig cfg;
-    cfg.wal_path = kWal;
+    cfg.wal_path = wal_path();
     serve::Server server(graph, model, cfg);
-    server.load(kCkpt);
+    server.load(ckpt_path());
     server.start(features_at(0));
     const std::vector<EdgeDelta> deltas = chaos_deltas(seed, kSteps);
     for (uint32_t t = 0; t < kSteps; ++t)
@@ -379,7 +383,7 @@ TEST_F(ChaosTest, Kill9MidStreamRecoversBitIdenticalFromCheckpointPlusWal) {
 
   // Parent: recover from what the dead process left on disk and compare
   // against an independent fault-free reference of the same prefix.
-  const serve::wal::ReadResult rr = serve::wal::read(kWal);
+  const serve::wal::ReadResult rr = serve::wal::read(wal_path());
   ASSERT_EQ(rr.records.size(), 1u + kSteps);  // every commit was durable
   const Tensor want = reference_output(seed, kSteps);
 
@@ -387,7 +391,7 @@ TEST_F(ChaosTest, Kill9MidStreamRecoversBitIdenticalFromCheckpointPlusWal) {
   Rng rng(static_cast<uint64_t>(99));  // junk init, overwritten by recover
   nn::TGCNEncoder model(kFeat, kHidden, rng);
   serve::Server server(graph, model);
-  server.recover(kCkpt, kWal);
+  server.recover(ckpt_path(), wal_path());
   EXPECT_EQ(server.read_view().time, kSteps);
   const Tensor got = server.predict().outputs;
   ASSERT_EQ(got.rows(), want.rows());
@@ -424,9 +428,9 @@ TEST_F(ChaosTest, Kill9UnderLiveConnectionsRecoversBitIdenticalFromWal) {
     Rng rng(static_cast<uint64_t>(31));
     nn::TGCNEncoder model(kFeat, kHidden, rng);
     serve::ServeConfig cfg;
-    cfg.wal_path = kWal;
+    cfg.wal_path = wal_path();
     serve::Server server(graph, model, cfg);
-    server.load(kCkpt);
+    server.load(ckpt_path());
     server.start(features_at(0));
     net::Frontend frontend(server);
     frontend.start();
@@ -467,14 +471,14 @@ TEST_F(ChaosTest, Kill9UnderLiveConnectionsRecoversBitIdenticalFromWal) {
   // Every ingest the wire acknowledged is durable (fsync-per-record), and
   // the recovered view is bit-identical both to a fault-free reference and
   // to what the dead server actually served over the network.
-  ASSERT_EQ(serve::wal::read(kWal).records.size(), 1u + kSteps);
+  ASSERT_EQ(serve::wal::read(wal_path()).records.size(), 1u + kSteps);
   const Tensor want = reference_output(seed, kSteps);
 
   GpmaGraph graph(chaos_base());
   Rng rng(static_cast<uint64_t>(99));  // junk init, overwritten by recover
   nn::TGCNEncoder model(kFeat, kHidden, rng);
   serve::Server server(graph, model);
-  server.recover(kCkpt, kWal);
+  server.recover(ckpt_path(), wal_path());
   EXPECT_EQ(server.read_view().time, kSteps);
   const Tensor got = server.predict().outputs;
   ASSERT_EQ(got.rows(), want.rows());

@@ -106,6 +106,92 @@ TEST(ServeMt, ConcurrentPredictAndIngestStaysConsistent) {
   EXPECT_LE(report.forward_passes, 2u * (deltas + 1));
 }
 
+// Predicts naming more nodes than the parallel_for launch grain (1024)
+// gather their rows outside exec_mu_ while ingests launch on the pool
+// under it. The pool takes one launcher at a time, so the reader's gathers
+// must run inline; a second concurrent launcher used to corrupt the pool's
+// rendezvous and lose lanes of the ingest's view rebuild.
+TEST(ServeMt, WideGathersBesideConcurrentIngestStayConsistent) {
+  datasets::DynamicLoadOptions opts;
+  opts.scale = 0.1;
+  opts.feature_size = 8;
+  opts.link_samples_per_step = 16;
+  datasets::DynamicDataset ds = datasets::load_sx_mathoverflow(opts);
+  const DtdgEvents events = datasets::make_dtdg(ds, /*percent_change=*/5.0);
+  const datasets::TemporalSignal sig =
+      datasets::make_dynamic_signal(events, opts);
+  ASSERT_GT(ds.num_nodes, 1024u) << "gathers must exceed the launch grain";
+  ASSERT_GE(events.num_timestamps(), 10u);
+
+  GpmaGraph graph(DtdgEvents{ds.num_nodes, events.base_edges, {}});
+  Rng rng(23);
+  nn::TGCNEncoder model(opts.feature_size, 16, rng);
+  serve::ServeConfig cfg;
+  cfg.max_batch = 8;
+  cfg.queue_capacity = 4096;
+  cfg.num_readers = 2;  // two readers gather beside each other, too
+  // A reader parked behind a run of ingests is not a stall here; under a
+  // sanitizer build the watchdog would trip the circuit on it.
+  cfg.watchdog_interval_ms = 0;
+  serve::Server server(graph, model, cfg);
+  server.start(sig.features[0]);
+
+  std::vector<uint32_t> all_nodes(ds.num_nodes);
+  for (uint32_t v = 0; v < ds.num_nodes; ++v) all_nodes[v] = v;
+
+  // Clients keep predicting until every ingest has landed, so the wide
+  // gathers overlap the ingests' launches.
+  constexpr uint32_t kThreads = 4;
+  constexpr uint32_t kMinPerThread = 8;
+  std::atomic<bool> ingests_done{false};
+  std::atomic<uint64_t> fulfilled{0};
+  std::atomic<uint64_t> failures{0};
+  auto client = [&] {
+    uint64_t last_version = 0;
+    for (uint32_t i = 0; i < kMinPerThread || !ingests_done.load(); ++i) {
+      serve::PredictResult res;
+      try {
+        res = server.predict(all_nodes);
+      } catch (const StgError&) {
+        failures.fetch_add(1);
+        continue;
+      }
+      EXPECT_GE(res.version, last_version);
+      last_version = res.version;
+      EXPECT_EQ(res.outputs.rows(), static_cast<int64_t>(ds.num_nodes));
+      for (int64_t j = 0; j < res.outputs.numel(); ++j)
+        ASSERT_TRUE(std::isfinite(res.outputs.data()[j]))
+            << "non-finite output under concurrent ingest";
+      fulfilled.fetch_add(1);
+    }
+  };
+
+  std::vector<std::thread> threads;
+  for (uint32_t i = 0; i < kThreads; ++i) threads.emplace_back(client);
+
+  const uint32_t deltas = events.num_timestamps() - 1;
+  try {
+    for (uint32_t t = 1; t <= deltas; ++t)
+      server.ingest(events.deltas[t - 1], sig.features[t]);
+  } catch (const StgError& e) {
+    ADD_FAILURE() << "ingest failed beside wide gathers: " << e.what();
+  }
+  ingests_done.store(true);
+  for (auto& th : threads) th.join();
+  const serve::ReadView view = server.read_view();
+  server.stop();
+
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_GE(fulfilled.load(), kThreads * kMinPerThread);
+  EXPECT_EQ(view.time, deltas);
+  EXPECT_EQ(view.version, 1u + deltas);
+  const serve::StatsReport report = server.stats();
+  EXPECT_EQ(report.requests, fulfilled.load());
+  EXPECT_EQ(report.failed, 0u);
+  EXPECT_EQ(report.deltas_applied, deltas);
+  EXPECT_LE(report.forward_passes, 2u * (deltas + 1));
+}
+
 TEST(ServeMt, DeadlineExpiryUnderConcurrencyClassifiesEveryRequestOnce) {
   DtdgEvents ev;
   ev.num_nodes = 8;

@@ -26,12 +26,16 @@
 #include "util/failpoint.hpp"
 #include "util/rng.hpp"
 
+#include "scratch_dir.hpp"
+
 namespace stgraph {
 namespace {
 
 constexpr int64_t kFeat = 6;
 constexpr int64_t kHidden = 8;
-const char* kCkpt = "/tmp/stgraph_test_serve_net.stgt";
+// Files live in the running test's own scratch directory (see
+// scratch_dir.hpp): tests run as parallel processes under ctest.
+std::string ckpt_path() { return ScratchDirTest::test_file("serve_net.stgt"); }
 
 DtdgEvents tiny_events() {
   DtdgEvents ev;
@@ -83,7 +87,7 @@ std::vector<Tensor> train_and_checkpoint(const DtdgEvents& events,
   cfg.task = core::Task::kLinkPrediction;
   core::STGraphTrainer trainer(graph, model, sig, cfg);
   trainer.train();
-  trainer.save_checkpoint(kCkpt);
+  trainer.save_checkpoint(ckpt_path());
   return trainer.evaluate_outputs();
 }
 
@@ -134,11 +138,11 @@ struct NetRig {
   }
 };
 
-class ServeNetTest : public ::testing::Test {
+class ServeNetTest : public ScratchDirTest {
  protected:
   void TearDown() override {
     failpoint::disable_all();
-    std::remove(kCkpt);
+    ScratchDirTest::TearDown();
   }
 };
 
@@ -151,7 +155,7 @@ TEST_F(ServeNetTest, PredictAndIngestOverLoopbackMatchTheTrainerBitExact) {
   serve::ServeConfig cfg;
   cfg.num_readers = 2;
   NetRig rig(cfg);
-  rig.server->load(kCkpt);
+  rig.server->load(ckpt_path());
   rig.start();
 
   net::Client client = rig.connect();
@@ -261,7 +265,7 @@ TEST_F(ServeNetTest, ConcurrentClientsIngestAndInstallStayBitExact) {
   cfg.num_readers = 4;
   cfg.tenants = {{1, 3, 0}, {2, 1, 0}};
   NetRig rig(cfg);
-  rig.server->load(kCkpt);
+  rig.server->load(ckpt_path());
   rig.start();
 
   std::atomic<bool> go{true};
@@ -332,7 +336,7 @@ TEST_F(ServeNetTest, TornReadsAndShortWritesStillDeliverEveryFrame) {
   const std::vector<Tensor> ref = train_and_checkpoint(events, sig);
 
   NetRig rig;
-  rig.server->load(kCkpt);
+  rig.server->load(ckpt_path());
   rig.start();
 
   // Every recv() on the frontend now returns a single byte and every

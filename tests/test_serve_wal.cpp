@@ -21,20 +21,23 @@
 #include "util/rng.hpp"
 #include "verify/invariants.hpp"
 
+#include "scratch_dir.hpp"
+
 namespace stgraph {
 namespace {
 
 constexpr int64_t kFeat = 5;
 constexpr int64_t kHidden = 7;
-const char* kWal = "/tmp/stgraph_test_serve.stgw";
-const char* kCkpt = "/tmp/stgraph_test_serve_wal.stgt";
+// Files live in the running test's own scratch directory (see
+// scratch_dir.hpp): tests run as parallel processes under ctest.
+std::string wal_path() { return ScratchDirTest::test_file("serve.stgw"); }
+std::string ckpt_path() { return ScratchDirTest::test_file("serve_wal.stgt"); }
 
-class ServeWalTest : public ::testing::Test {
+class ServeWalTest : public ScratchDirTest {
  protected:
   void TearDown() override {
     failpoint::disable_all();
-    std::remove(kWal);
-    std::remove(kCkpt);
+    ScratchDirTest::TearDown();
   }
 };
 
@@ -45,7 +48,7 @@ Tensor filled(int64_t rows, int64_t cols, float base) {
   return t;
 }
 
-uint64_t file_size(const char* path) {
+uint64_t file_size(const std::string& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   return in.good() ? static_cast<uint64_t>(in.tellg()) : 0;
 }
@@ -68,7 +71,7 @@ std::vector<serve::wal::Record> write_sample_log() {
   recs[2].version = 3;
   recs[2].delta.deletions = {{0, 2}};
   recs[2].features = filled(4, 3, 9.0f);
-  serve::wal::Writer w(kWal, /*truncate=*/true);
+  serve::wal::Writer w(wal_path(), /*truncate=*/true);
   for (const auto& r : recs) w.append(r);
   return recs;
 }
@@ -84,7 +87,7 @@ void expect_tensor_eq(const Tensor& a, const Tensor& b, const char* what) {
 
 TEST_F(ServeWalTest, RecordsRoundtripBitExact) {
   const auto want = write_sample_log();
-  const serve::wal::ReadResult rr = serve::wal::read(kWal);
+  const serve::wal::ReadResult rr = serve::wal::read(wal_path());
   EXPECT_FALSE(rr.torn_tail);
   EXPECT_EQ(rr.valid_bytes, rr.total_bytes);
   ASSERT_EQ(rr.records.size(), want.size());
@@ -97,35 +100,35 @@ TEST_F(ServeWalTest, RecordsRoundtripBitExact) {
     expect_tensor_eq(rr.records[i].features, want[i].features, "features");
   }
   expect_tensor_eq(rr.records[0].hidden, want[0].hidden, "start hidden");
-  EXPECT_TRUE(verify::check_wal(kWal).ok());
+  EXPECT_TRUE(verify::check_wal(wal_path()).ok());
 }
 
 TEST_F(ServeWalTest, TornTailIsDetectedAndTruncatable) {
   write_sample_log();
-  const uint64_t clean = file_size(kWal);
+  const uint64_t clean = file_size(wal_path());
   {
     // A crash mid-append: half a record of garbage at the tail.
-    std::ofstream out(kWal, std::ios::binary | std::ios::app);
+    std::ofstream out(wal_path(), std::ios::binary | std::ios::app);
     const char junk[] = "\x40\x00\x00\x00junkjun";
     out.write(junk, sizeof(junk) - 1);  // drop the terminator
   }
-  serve::wal::ReadResult rr = serve::wal::read(kWal);
+  serve::wal::ReadResult rr = serve::wal::read(wal_path());
   EXPECT_TRUE(rr.torn_tail);
   EXPECT_EQ(rr.valid_bytes, clean);
   EXPECT_EQ(rr.records.size(), 3u);  // the valid prefix survives
-  EXPECT_FALSE(verify::check_wal(kWal).ok());  // the auditor flags the tear
+  EXPECT_FALSE(verify::check_wal(wal_path()).ok());  // the auditor flags the tear
 
-  serve::wal::truncate_torn_tail(kWal, rr);
-  EXPECT_EQ(file_size(kWal), clean);
-  rr = serve::wal::read(kWal);
+  serve::wal::truncate_torn_tail(wal_path(), rr);
+  EXPECT_EQ(file_size(wal_path()), clean);
+  rr = serve::wal::read(wal_path());
   EXPECT_FALSE(rr.torn_tail);
-  EXPECT_TRUE(verify::check_wal(kWal).ok());
+  EXPECT_TRUE(verify::check_wal(wal_path()).ok());
 }
 
 TEST_F(ServeWalTest, CorruptedRecordStopsTheReplayAtTheLastValidPrefix) {
   write_sample_log();
   // Flip one payload byte of the final record.
-  std::fstream f(kWal, std::ios::binary | std::ios::in | std::ios::out);
+  std::fstream f(wal_path(), std::ios::binary | std::ios::in | std::ios::out);
   f.seekp(-3, std::ios::end);
   char b = 0;
   f.read(&b, 1);
@@ -133,7 +136,7 @@ TEST_F(ServeWalTest, CorruptedRecordStopsTheReplayAtTheLastValidPrefix) {
   b = static_cast<char>(b ^ 0x5a);
   f.write(&b, 1);
   f.close();
-  const serve::wal::ReadResult rr = serve::wal::read(kWal);
+  const serve::wal::ReadResult rr = serve::wal::read(wal_path());
   EXPECT_TRUE(rr.torn_tail);  // CRC catches the flip; record 3 is dropped
   EXPECT_EQ(rr.records.size(), 2u);
 }
@@ -141,32 +144,32 @@ TEST_F(ServeWalTest, CorruptedRecordStopsTheReplayAtTheLastValidPrefix) {
 TEST_F(ServeWalTest, HeaderProblemsAreHardErrors) {
   EXPECT_THROW(serve::wal::read("/tmp/stgraph_no_such_wal.stgw"), StgError);
   {
-    std::ofstream out(kWal, std::ios::binary);
+    std::ofstream out(wal_path(), std::ios::binary);
     out.write("STGX????", 8);
   }
-  EXPECT_THROW(serve::wal::read(kWal), StgError);
-  EXPECT_FALSE(verify::check_wal(kWal).ok());  // finding, not a throw
+  EXPECT_THROW(serve::wal::read(wal_path()), StgError);
+  EXPECT_FALSE(verify::check_wal(wal_path()).ok());  // finding, not a throw
 }
 
 TEST_F(ServeWalTest, CheckWalFlagsNonMonotonicRecords) {
   std::vector<serve::wal::Record> recs = write_sample_log();
   {
-    serve::wal::Writer w(kWal, /*truncate=*/true);
+    serve::wal::Writer w(wal_path(), /*truncate=*/true);
     w.append(recs[0]);
     serve::wal::Record bad = recs[1];
     bad.time = 5;      // does not advance t=0 by one
     bad.version = 1;   // not strictly greater than the start version
     w.append(bad);
   }
-  const verify::Report r = verify::check_wal(kWal);
+  const verify::Report r = verify::check_wal(wal_path());
   EXPECT_FALSE(r.ok());
   EXPECT_GE(r.findings().size(), 2u);
 }
 
 TEST_F(ServeWalTest, FailedAppendRollsTheFileBack) {
   write_sample_log();
-  const uint64_t clean = file_size(kWal);
-  serve::wal::Writer w(kWal, /*truncate=*/false);
+  const uint64_t clean = file_size(wal_path());
+  serve::wal::Writer w(wal_path(), /*truncate=*/false);
   serve::wal::Record rec;
   rec.type = serve::wal::RecordType::kIngest;
   rec.time = 3;
@@ -174,10 +177,10 @@ TEST_F(ServeWalTest, FailedAppendRollsTheFileBack) {
   rec.features = filled(4, 3, 13.0f);
   failpoint::enable("serve.wal.append", failpoint::Spec::once());
   EXPECT_THROW(w.append(rec), StgError);
-  EXPECT_EQ(file_size(kWal), clean);  // rolled back, no torn record
-  EXPECT_TRUE(verify::check_wal(kWal).ok());
+  EXPECT_EQ(file_size(wal_path()), clean);  // rolled back, no torn record
+  EXPECT_TRUE(verify::check_wal(wal_path()).ok());
   w.append(rec);  // and the writer still works afterwards
-  EXPECT_EQ(serve::wal::read(kWal).records.size(), 4u);
+  EXPECT_EQ(serve::wal::read(wal_path()).records.size(), 4u);
 }
 
 // ---- end-to-end recovery ---------------------------------------------------
@@ -207,7 +210,7 @@ void checkpoint_model(nn::TGCNEncoder& model) {
     st.moment1.push_back(Tensor::zeros(p.tensor.shape()));
     st.moment2.push_back(Tensor::zeros(p.tensor.shape()));
   }
-  io::save_train_state(st, kCkpt);
+  io::save_train_state(st, ckpt_path());
 }
 
 TEST_F(ServeWalTest, RecoverReplaysTheWalToABitIdenticalReadView) {
@@ -227,9 +230,9 @@ TEST_F(ServeWalTest, RecoverReplaysTheWalToABitIdenticalReadView) {
     nn::TGCNEncoder model(kFeat, kHidden, rng);
     checkpoint_model(model);
     serve::ServeConfig cfg;
-    cfg.wal_path = kWal;
+    cfg.wal_path = wal_path();
     serve::Server server(graph, model, cfg);
-    server.load(kCkpt);
+    server.load(ckpt_path());
     server.start(sig.features[0]);
     for (uint32_t t = 0; t < events.num_timestamps(); ++t) {
       ref.push_back(server.predict().outputs.clone());
@@ -249,7 +252,7 @@ TEST_F(ServeWalTest, RecoverReplaysTheWalToABitIdenticalReadView) {
   Rng rng2(777);  // different init — recover() must overwrite it
   nn::TGCNEncoder model2(kFeat, kHidden, rng2);
   serve::Server server2(graph2, model2);
-  server2.recover(kCkpt, kWal);
+  server2.recover(ckpt_path(), wal_path());
 
   const serve::ReadView got = server2.read_view();
   EXPECT_EQ(got.time, ref_view.time);
@@ -267,9 +270,9 @@ TEST_F(ServeWalTest, RecoverReplaysTheWalToABitIdenticalReadView) {
   // (empty) ingest extends it, and the extended log recovers too.
   server2.ingest(EdgeDelta{}, sig.features[3]);
   server2.stop();
-  const serve::wal::ReadResult rr = serve::wal::read(kWal);
+  const serve::wal::ReadResult rr = serve::wal::read(wal_path());
   EXPECT_EQ(rr.records.size(), 2u + events.deltas.size());
-  EXPECT_TRUE(verify::check_wal(kWal).ok());
+  EXPECT_TRUE(verify::check_wal(wal_path()).ok());
 }
 
 TEST_F(ServeWalTest, RecoverTruncatesATornTailAndStillReplays) {
@@ -287,9 +290,9 @@ TEST_F(ServeWalTest, RecoverTruncatesATornTailAndStillReplays) {
     nn::TGCNEncoder model(kFeat, kHidden, rng);
     checkpoint_model(model);
     serve::ServeConfig cfg;
-    cfg.wal_path = kWal;
+    cfg.wal_path = wal_path();
     serve::Server server(graph, model, cfg);
-    server.load(kCkpt);
+    server.load(ckpt_path());
     server.start(sig.features[0]);
     server.ingest(events.deltas[0], sig.features[1]);
     want_out = server.predict().outputs.clone();
@@ -297,7 +300,7 @@ TEST_F(ServeWalTest, RecoverTruncatesATornTailAndStillReplays) {
   }
   {
     // kill -9 mid-append: garbage past the last durable record.
-    std::ofstream out(kWal, std::ios::binary | std::ios::app);
+    std::ofstream out(wal_path(), std::ios::binary | std::ios::app);
     out.write("\x99\x00\x00\x00to", 6);
   }
 
@@ -305,17 +308,17 @@ TEST_F(ServeWalTest, RecoverTruncatesATornTailAndStillReplays) {
   Rng rng2(1);
   nn::TGCNEncoder model2(kFeat, kHidden, rng2);
   serve::Server server2(graph2, model2);
-  server2.recover(kCkpt, kWal);
+  server2.recover(ckpt_path(), wal_path());
   EXPECT_EQ(server2.read_view().time, 1u);
   expect_tensor_eq(server2.predict().outputs, want_out, "post-tear outputs");
   server2.stop();
   // recover() truncated the tear: the log on disk is clean again.
-  EXPECT_FALSE(serve::wal::read(kWal).torn_tail);
+  EXPECT_FALSE(serve::wal::read(wal_path()).torn_tail);
 }
 
 TEST_F(ServeWalTest, RecoverRefusesALogWithoutAStartRecord) {
   {
-    serve::wal::Writer w(kWal, /*truncate=*/true);  // header only
+    serve::wal::Writer w(wal_path(), /*truncate=*/true);  // header only
   }
   const DtdgEvents events = ring_events();
   const DtdgEvents base{events.num_nodes, events.base_edges, {}};
@@ -324,7 +327,7 @@ TEST_F(ServeWalTest, RecoverRefusesALogWithoutAStartRecord) {
   nn::TGCNEncoder model(kFeat, kHidden, rng);
   checkpoint_model(model);
   serve::Server server(graph, model);
-  EXPECT_THROW(server.recover(kCkpt, kWal), StgError);
+  EXPECT_THROW(server.recover(ckpt_path(), wal_path()), StgError);
   EXPECT_FALSE(server.running());
 }
 

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "runtime/thread_pool.hpp"
+#include "util/check.hpp"
 
 namespace stgraph {
 namespace {
@@ -99,6 +100,51 @@ TEST(ThreadPoolMt, DestructionJoinsCleanly) {
     pool.run_on_lanes([&](unsigned) { n.fetch_add(1); });
     EXPECT_EQ(n.load(), 3);
   }
+}
+
+TEST(ThreadPoolMt, ConcurrentLaunchFromSecondThreadIsRefused) {
+  ThreadPool pool(3);
+  constexpr std::size_t kItems = 4096;
+  std::vector<std::atomic<int>> hits(kItems);
+  std::atomic<bool> a_in_flight{false};
+  std::atomic<bool> b_returned{false};
+
+  // Thread A's launch stays in flight: its lane 0 does not return until
+  // thread B's launch attempt has.
+  std::thread a([&] {
+    pool.run_on_lanes([&](unsigned lane) {
+      if (lane == 0) {
+        a_in_flight.store(true);
+        while (!b_returned.load()) std::this_thread::yield();
+      }
+      const std::size_t chunk = kItems / pool.lanes();
+      for (std::size_t i = lane * chunk; i < (lane + 1) * chunk; ++i)
+        hits[i].fetch_add(1);
+    });
+  });
+  while (!a_in_flight.load()) std::this_thread::yield();
+
+  bool b_refused = false;
+  std::atomic<int> b_lanes{0};
+  std::thread b([&] {
+    try {
+      pool.run_on_lanes([&](unsigned) { b_lanes.fetch_add(1); });
+    } catch (const StgError&) {
+      b_refused = true;
+    }
+    b_returned.store(true);
+  });
+  b.join();
+  a.join();
+
+  EXPECT_TRUE(b_refused);
+  EXPECT_EQ(b_lanes.load(), 0);
+  for (std::size_t i = 0; i < kItems; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+
+  // The refusal leaves the pool intact: later launches run on every lane.
+  std::vector<std::atomic<int>> later(pool.lanes());
+  pool.run_on_lanes([&](unsigned lane) { later[lane].fetch_add(1); });
+  for (unsigned l = 0; l < pool.lanes(); ++l) EXPECT_EQ(later[l].load(), 1) << l;
 }
 
 }  // namespace
