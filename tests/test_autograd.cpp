@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 
 #include "autograd/engine.hpp"
 #include "tensor/ops.hpp"
@@ -41,6 +42,11 @@ struct OpCase {
   const char* name;
   std::function<Tensor(const Tensor&)> fn;  // builds a non-scalar output
 };
+
+// Without a printer gtest dumps the struct's raw bytes, which hold
+// ASLR-dependent addresses; ctest's discovered test names embed that
+// dump, so they changed on every build. Print the op name instead.
+void PrintTo(const OpCase& c, std::ostream* os) { *os << c.name; }
 
 class UnaryGradient : public ::testing::TestWithParam<OpCase> {};
 
