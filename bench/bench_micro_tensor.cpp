@@ -3,8 +3,11 @@
 // bounds everything the figure benches measure.
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "runtime/scan.hpp"
 #include "runtime/sort.hpp"
+#include "runtime/thread_pool.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
@@ -38,6 +41,36 @@ void BM_GemmTransposed(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK(BM_GemmTransposed)->Arg(128);
+
+// The GCN gate GEMM of TGCN training on 2,400 vertices: X[2400×f]·W[f×16]
+// for f = 16 and 32, in all four transpose cases (case bit 0: ta, bit 1:
+// tb; the transposed operand is stored transposed). lanes:1 runs under
+// ThreadPool::ScopedInline, the inline path STGRAPH_NUM_THREADS=1 takes;
+// lanes:4 runs on the pool and needs STGRAPH_NUM_THREADS=4.
+void BM_GemmTrainShapes(benchmark::State& state) {
+  const int64_t m = 2400, n = 16, k = state.range(0);
+  const bool ta = state.range(1) & 1, tb = state.range(1) & 2;
+  const auto lanes = static_cast<unsigned>(state.range(2));
+  if (lanes > 1 && ThreadPool::instance().lanes() != lanes) {
+    state.SkipWithError("pool lanes differ; set STGRAPH_NUM_THREADS=4");
+    return;
+  }
+  Rng rng(7);
+  NoGradGuard ng;
+  Tensor a = ta ? Tensor::randn({k, m}, rng) : Tensor::randn({m, k}, rng);
+  Tensor b = tb ? Tensor::randn({n, k}, rng) : Tensor::randn({k, n}, rng);
+  std::optional<ThreadPool::ScopedInline> one_lane;
+  if (lanes == 1) one_lane.emplace();
+  for (auto _ : state) {
+    Tensor c = ops::matmul(a, b, ta, tb);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * m * n * k);
+}
+BENCHMARK(BM_GemmTrainShapes)
+    ->ArgNames({"f", "case", "lanes"})
+    ->ArgsProduct({{16, 32}, {0, 1, 2, 3}, {1, 4}});
 
 void BM_GruGateChain(benchmark::State& state) {
   // The elementwise chain a TGCN gate performs per timestep.

@@ -13,7 +13,8 @@
 #                           front-end (concurrent clients over loopback),
 #                           and the shard/pipeline training path
 #                           (test_scaling: background view preparation +
-#                           shard-parallel aggregation parity)
+#                           shard-parallel aggregation parity), and the
+#                           GEMM kernel's pool schedule (test_gemm)
 #   ./run_all.sh lint       clang-tidy over src/ + a clang syntax-only pass
 #                           of EVERY .cpp under src/ and tools/ with
 #                           -Wthread-safety -Werror (the annotations in
@@ -80,7 +81,10 @@
 #                           fault schedules, WAL recovery cost, emitted as
 #                           BENCH_serve_robust.json) + bench_serve_net
 #                           (closed/open-loop TCP load, reader-scaling
-#                           sweep, emitted as BENCH_serve_net.json)
+#                           sweep, emitted as BENCH_serve_net.json) +
+#                           bench_micro_tensor (GEMM at the training
+#                           shapes on 1 and 4 lanes, scans, sorts,
+#                           emitted as BENCH_tensor.json)
 #   ./run_all.sh chaos      chaos harness sweep: test_serve_chaos (random
 #                           failpoint schedules + concurrent load + fork/
 #                           SIGKILL recovery parity) across 20 fixed seeds
@@ -127,7 +131,7 @@ if [ "$1" = "bench" ]; then
   cmake -B build -S . || exit 1
   cmake --build build -j "$(nproc)" --target bench_fig9 bench_micro_gpma \
     bench_micro_kernels bench_serve_robust bench_serve_net bench_scaling \
-    || exit 1
+    bench_micro_tensor || exit 1
   ./build/bench/bench_fig9 --json-out=/root/repo/BENCH_fig9.json || exit 1
   ./build/bench/bench_scaling \
     --json-out=/root/repo/BENCH_scaling.json || exit 1
@@ -139,6 +143,9 @@ if [ "$1" = "bench" ]; then
     --out=/root/repo/BENCH_serve_robust.json || exit 1
   ./build/bench/bench_serve_net \
     --out=/root/repo/BENCH_serve_net.json || exit 1
+  # Four lanes so the GEMM cases run both inline (lanes:1) and on the pool.
+  STGRAPH_NUM_THREADS=4 ./build/bench/bench_micro_tensor \
+    --benchmark_out=BENCH_tensor.json || exit 1
   exit 0
 fi
 
@@ -205,9 +212,9 @@ if [ "$1" = "tsan" ]; then
     -DSTGRAPH_BUILD_EXAMPLES=OFF || exit 1
   cmake --build build-tsan -j "$(nproc)" \
     --target test_threadpool_mt test_serve_mt test_serve_net test_scaling \
-    test_fusion || exit 1
+    test_fusion test_gemm || exit 1
   for t in test_threadpool_mt test_serve_mt test_serve_net test_scaling \
-           test_fusion; do
+           test_fusion test_gemm; do
     echo "===== $t (tsan) ====="
     TSAN_OPTIONS="halt_on_error=1 suppressions=$(pwd)/tsan.supp" \
       ./build-tsan/tests/$t || exit 1

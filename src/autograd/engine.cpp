@@ -16,14 +16,17 @@ Node::Node(std::string name) : name_(std::move(name)), seq_(++g_seq) {}
 
 uint64_t node_count() { return g_seq.load(); }
 
+bool needs_grad(const Tensor& t) {
+  return t.defined() && (t.impl()->grad_fn || t.impl()->requires_grad);
+}
+
 bool Node::add_input(const Tensor& t) {
   InputEdge e;
-  if (t.defined() && t.impl()->grad_fn) {
+  e.needs_grad = needs_grad(t);
+  if (e.needs_grad && t.impl()->grad_fn) {
     e.producer = t.impl()->grad_fn;
-    e.needs_grad = true;
-  } else if (t.defined() && t.impl()->requires_grad) {
+  } else if (e.needs_grad) {
     e.leaf = t.impl();
-    e.needs_grad = true;
   }
   edges_.push_back(std::move(e));
   return edges_.back().needs_grad;

@@ -59,6 +59,11 @@ class Node : public std::enable_shared_from_this<Node> {
   std::vector<InputEdge> edges_;
 };
 
+/// Whether a node taking `t` as input must produce its gradient: `t` has a
+/// producer node or is a requires-grad leaf (the InputEdge::needs_grad
+/// rule). Backward functions test it to skip gradients nobody reads.
+bool needs_grad(const Tensor& t);
+
 /// Convenience node defined by a lambda; most ops use this.
 class LambdaNode final : public Node {
  public:

@@ -102,11 +102,15 @@ Tensor SeastarGCNConv::forward(core::TemporalExecutor& exec, const Tensor& x,
   const compiler::KernelSpec* bwd = edge_weights ? &bwd_weighted_ : &bwd_plain_;
   const bool has_bias = bias_.defined();
   const int64_t out_f = out_;
+  // Input features usually need no gradient (raw snapshot signals); their
+  // GEMM would only be dropped by the engine.
+  const bool need_x = autograd::needs_grad(x);
+  const bool need_w = autograd::needs_grad(weight);
 
   auto node = std::make_shared<autograd::LambdaNode>(
       "seastar_gcn",
       [exec_ptr, t, ticket, weight, bias, bwd, edge_weights, has_bias,
-       out_f](const Tensor& grad_out) -> std::vector<Tensor> {
+       out_f, need_x, need_w](const Tensor& grad_out) -> std::vector<Tensor> {
         NoGradGuard ng;
         // 1. Snapshot for this timestamp via the Graph Stack.
         const SnapshotView& bview = exec_ptr->backward_view(t);
@@ -128,8 +132,9 @@ Tensor SeastarGCNConv::forward(core::TemporalExecutor& exec, const Tensor& x,
         std::vector<Tensor> saved = exec_ptr->retrieve_saved(ticket);
         const Tensor& x_saved = saved.front();  // X always leads the set
         // Weight/bias/input gradients of the fused GEMM.
-        Tensor grad_x = ops::matmul(g_xw, weight, false, true);
-        Tensor grad_w = ops::matmul(x_saved, g_xw, true, false);
+        Tensor grad_x, grad_w;
+        if (need_x) grad_x = ops::matmul(g_xw, weight, false, true);
+        if (need_w) grad_w = ops::matmul(x_saved, g_xw, true, false);
         Tensor grad_b;
         if (has_bias) {
           // Column sums of grad_out.

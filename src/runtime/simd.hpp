@@ -10,6 +10,11 @@
 // (never an FMA) so that every lane performs exactly the IEEE operation
 // sequence of the scalar reference kernel — the fuzz suite asserts bitwise
 // identity between the two paths, which a fused madd would break.
+//
+// `fmadd` is the other flavour, for the GEMM kernel only (tensor/gemm.cpp,
+// outside the parity contract): acc + a*b with ONE rounding wherever the
+// target has fused multiply-add (x86 built with FMA, arm64) — exactly
+// where compilers contract a scalar `c += a * b` — and madd elsewhere.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +48,14 @@ struct ScalarOps {
   static vf mul(vf a, vf b) { return a * b; }
   /// acc + a*b, deliberately unfused (see header comment).
   static vf madd(vf a, vf b, vf acc) { return add(acc, mul(a, b)); }
+  /// acc + a*b, fused where the target has FMA (see header comment).
+  static vf fmadd(vf a, vf b, vf acc) {
+#if defined(__FMA__) || defined(__aarch64__)
+    return __builtin_fmaf(a, b, acc);
+#else
+    return madd(a, b, acc);
+#endif
+  }
   static vf max(vf a, vf b) { return a > b ? a : b; }
   /// Lane mask with a > b (ordered: false on NaN, like scalar `>`).
   static vu cmp_gt(vf a, vf b) { return a > b ? 0xFFFFFFFFu : 0u; }
@@ -86,6 +99,14 @@ struct AvxOps {
   static vf mul(vf a, vf b) { return _mm256_mul_ps(a, b); }
   /// acc + a*b, deliberately unfused (see header comment).
   static vf madd(vf a, vf b, vf acc) { return add(acc, mul(a, b)); }
+  /// acc + a*b, fused where the target has FMA (see header comment).
+  static vf fmadd(vf a, vf b, vf acc) {
+#if defined(__FMA__)
+    return _mm256_fmadd_ps(a, b, acc);
+#else
+    return madd(a, b, acc);
+#endif
+  }
   static vf max(vf a, vf b) { return _mm256_max_ps(a, b); }
   static vu cmp_gt(vf a, vf b) {
     return _mm256_castps_si256(_mm256_cmp_ps(a, b, _CMP_GT_OQ));
@@ -125,6 +146,14 @@ struct NeonOps {
   static vf mul(vf a, vf b) { return vmulq_f32(a, b); }
   /// acc + a*b, deliberately unfused (see header comment) — NOT vfmaq.
   static vf madd(vf a, vf b, vf acc) { return add(acc, mul(a, b)); }
+  /// acc + a*b, fused where the target has FMA (see header comment).
+  static vf fmadd(vf a, vf b, vf acc) {
+#if defined(__aarch64__)
+    return vfmaq_f32(acc, a, b);
+#else
+    return madd(a, b, acc);
+#endif
+  }
   static vf max(vf a, vf b) { return vmaxq_f32(a, b); }
   static vu cmp_gt(vf a, vf b) { return vcgtq_f32(a, b); }
   static vu cmp_eq_u(vu a, vu b) { return vceqq_u32(a, b); }

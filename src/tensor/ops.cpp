@@ -298,18 +298,23 @@ using detail::gemm;  // tensor/gemm.cpp — its own TU, default FP contraction
 
 Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
   Tensor out = gemm(a, b, trans_a, trans_b);
-  attach(out, "matmul", {a, b}, [a, b, trans_a, trans_b](const Tensor& g) {
+  // A constant operand (input features, a frozen weight) gets no gradient:
+  // its GEMM would only be dropped by the engine.
+  const bool need_a = autograd::needs_grad(a);
+  const bool need_b = autograd::needs_grad(b);
+  attach(out, "matmul", {a, b},
+         [a, b, trans_a, trans_b, need_a, need_b](const Tensor& g) {
     NoGradGuard ng;
     // C = op(A) op(B); standard transpose-case table for dA and dB.
     Tensor ga, gb;
-    if (!trans_a) {
+    if (need_a && !trans_a) {
       ga = trans_b ? gemm(g, b, false, false) : gemm(g, b, false, true);
-    } else {
+    } else if (need_a) {
       ga = trans_b ? gemm(b, g, true, true) : gemm(b, g, false, true);
     }
-    if (!trans_b) {
+    if (need_b && !trans_b) {
       gb = trans_a ? gemm(a, g, false, false) : gemm(a, g, true, false);
-    } else {
+    } else if (need_b) {
       gb = trans_a ? gemm(g, a, true, true) : gemm(g, a, true, false);
     }
     return std::vector<Tensor>{ga, gb};

@@ -8,6 +8,7 @@
 #include <ostream>
 
 #include "autograd/engine.hpp"
+#include "tensor/op_profile.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
@@ -136,6 +137,36 @@ TEST_P(MatmulGradient, AllTransposeVariants) {
   auto fn = [&] { return ops::sum(ops::mul(ops::matmul(a, b, ta, tb), w)); };
   check_gradient(a, fn);
   check_gradient(b, fn);
+}
+
+// An operand that needs no gradient costs no backward GEMM, and the other
+// operand's gradient is the same bits as when both are differentiated.
+TEST_P(MatmulGradient, ConstantOperandCostsNoBackwardGemm) {
+  const auto [ta, tb] = GetParam();
+  Rng rng(7);
+  const Tensor a0 = Tensor::randn(ta ? Shape{3, 2} : Shape{2, 3}, rng);
+  const Tensor b0 = Tensor::randn(tb ? Shape{4, 3} : Shape{3, 4}, rng);
+  auto grads = [&](bool grad_a, bool grad_b, uint64_t* backward_gemms) {
+    Tensor a = a0.clone().set_requires_grad(grad_a);
+    Tensor b = b0.clone().set_requires_grad(grad_b);
+    Tensor loss = ops::sum(ops::matmul(a, b, ta, tb));
+    const auto before = ops::profile_snapshot();
+    loss.backward();
+    *backward_gemms = (ops::profile_snapshot() - before)
+                          .count[static_cast<int>(ops::OpClass::kMatmul)];
+    return std::pair{a.grad(), b.grad()};
+  };
+  uint64_t both = 0, only_a = 0, only_b = 0;
+  const auto [ga, gb] = grads(true, true, &both);
+  const auto [ga_only, gb_none] = grads(true, false, &only_a);
+  const auto [ga_none, gb_only] = grads(false, true, &only_b);
+  EXPECT_EQ(both, 2u);
+  EXPECT_EQ(only_a, 1u);
+  EXPECT_EQ(only_b, 1u);
+  EXPECT_FALSE(gb_none.defined());
+  EXPECT_FALSE(ga_none.defined());
+  EXPECT_EQ(ga_only.to_vector(), ga.to_vector());
+  EXPECT_EQ(gb_only.to_vector(), gb.to_vector());
 }
 
 INSTANTIATE_TEST_SUITE_P(Variants, MatmulGradient,

@@ -13,6 +13,7 @@
 #include "nn/models.hpp"
 #include "nn/optim.hpp"
 #include "nn/tgcn.hpp"
+#include "tensor/op_profile.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
@@ -139,6 +140,36 @@ TEST(GcnEquivalence, UnweightedEdgesAlsoMatch) {
   baseline::CooSnapshot coo = baseline::make_coo(n, edges);
   Tensor y_bl = blconv.forward(coo, x, nullptr);
   expect_close(y_st, y_bl, 1e-4f);
+}
+
+// Snapshot features need no gradient; the layer's backward then runs only
+// the weight-gradient GEMM, and that gradient keeps its bits.
+TEST(GcnBackward, ConstantInputCostsNoInputGradientGemm) {
+  const uint32_t n = 15;
+  EdgeList edges = random_edges(n, 50, 19);
+  Rng rw(8), rd(9);
+  nn::SeastarGCNConv conv(4, 6, rw);
+  const Tensor x0 = Tensor::randn({n, 4}, rd);
+  StaticTemporalGraph graph(n, edges, 1);
+  auto run = [&](bool grad_x) {
+    Tensor x = x0.clone().set_requires_grad(grad_x);
+    core::TemporalExecutor exec(graph);
+    exec.begin_forward_step(0);
+    Tensor y = conv.forward(exec, x, nullptr);
+    conv.zero_grad();
+    const auto before = ops::profile_snapshot();
+    ops::sum(ops::mul(y, y)).backward();
+    exec.verify_drained();
+    const uint64_t gemms = (ops::profile_snapshot() - before)
+                               .count[static_cast<int>(ops::OpClass::kMatmul)];
+    EXPECT_EQ(x.grad().defined(), grad_x);
+    return std::pair{gemms, conv.parameters()[0].tensor.grad().to_vector()};
+  };
+  const auto [gemms_with_x, grad_w_with_x] = run(true);
+  const auto [gemms_without_x, grad_w_without_x] = run(false);
+  EXPECT_EQ(gemms_with_x, 2u);
+  EXPECT_EQ(gemms_without_x, 1u);
+  EXPECT_EQ(grad_w_without_x, grad_w_with_x);
 }
 
 TEST(TgcnEquivalence, CellsMatchAcrossTimesteps) {

@@ -223,7 +223,9 @@ TEST(RadixSortPairs, PayloadFollowsKeysStably) {
   device::radix_sort_pairs(keys, payload);
   for (std::size_t i = 0; i + 1 < n; ++i) {
     EXPECT_LE(keys[i], keys[i + 1]);
-    if (keys[i] == keys[i + 1]) EXPECT_LT(payload[i], payload[i + 1]);
+    if (keys[i] == keys[i + 1]) {
+      EXPECT_LT(payload[i], payload[i + 1]);
+    }
   }
   for (std::size_t i = 0; i < n; ++i)
     EXPECT_EQ(keys[i], keys_copy[payload[i]]);
@@ -235,7 +237,9 @@ TEST(SortIndices, DescendingDegreeOrderStable) {
       deg.size(), [&](uint32_t a, uint32_t b) { return deg[a] > deg[b]; });
   for (std::size_t i = 0; i + 1 < idx.size(); ++i) {
     EXPECT_GE(deg[idx[i]], deg[idx[i + 1]]);
-    if (deg[idx[i]] == deg[idx[i + 1]]) EXPECT_LT(idx[i], idx[i + 1]);
+    if (deg[idx[i]] == deg[idx[i + 1]]) {
+      EXPECT_LT(idx[i], idx[i + 1]);
+    }
   }
 }
 
